@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import qsearch
 from .advice import assign_advice, compute_epoch_plan
 from .harness import ExperimentConfig, compare_advice_levels, fit_exponent, read_csv, run_sweep
 from .lowerbound import (
@@ -140,7 +139,6 @@ def cmd_routing_demo(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qwake", description=__doc__)
-    ap.add_argument("--backend", action="store_true", help="print the active search kernel and exit")
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("run", help="run one wake-up instance")
@@ -179,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.backend:
-        print(f"search kernel backend: {qsearch.BACKEND}")
-        return 0
     if not getattr(args, "command", None):
         ap.print_help()
         return 2

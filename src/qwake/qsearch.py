@@ -3,36 +3,50 @@
 A search invocation over N ports with C marked ones is simulated in the
 two-dimensional rotation subspace: a run of k amplification iterations
 measures a marked element with probability sin^2((2k+1) * asin(sqrt(C/N))),
-and the measured marked element is uniform over the marked set. Iteration
-counts follow the classic growing-window schedule for an unknown marked
-count; the whole schedule is repeated up to a repetition factor to reach the
-high-probability contract. Every oracle call is charged, including the
-verification of each measured candidate, and the total never exceeds
-ceil(c * sqrt(N / max(1, C)) * log2 n).
+and the measured marked element is uniform over the marked set. Every oracle
+call is charged, including the verification of each measured candidate, and
+the total never exceeds ceil(c * sqrt(N / max(1, C)) * log2 n).
 
-The inner loop lives in a compiled kernel when available, with a
-pure-Python fallback selected at import time (identical streams, identical
-results). Set QWAKE_PURE_PYTHON=1 to force the fallback.
+Schedule (Boyer, Brassard, Hoyer and Tapp, *Tight bounds on quantum
+searching*, 1998): repetitions of a growing-window loop, repeated up to a
+repetition factor to reach the high-probability contract. Within a
+repetition the window m starts at 1 and is multiplied by 6/5 after each
+failed attempt, capped at ceil(sqrt(N)); the repetition ends after one
+attempt at the cap. An attempt draws k uniformly from [0, m) with one
+uniform, charges k + 1 calls, and measures with a second uniform; a success
+draws a third uniform to pick the marked element. The budget is a hard cap:
+k is clamped so the charge never exceeds it, and the invocation returns NULL
+once the budget is exhausted.
+
+``search_invocation`` is the only kernel, in Python and numpy, and it has
+two paths that consume the Generator stream identically:
+
+* C > 0, or a bit generator other than PCG64: the scalar loop above, one
+  ``gen.random()`` per draw. A search with C > 0 usually stops after a few
+  attempts, where drawing one at a time is cheaper than drawing the whole
+  schedule (14 us against 30 us at C = 1).
+* C = 0 on PCG64 (every ``np.random.default_rng``): no attempt can succeed,
+  so the draws only set the call count. The whole schedule's 2A uniforms
+  are drawn in one ``gen.random(2A)`` and the charges summed with
+  ``cumsum``; when the budget binds at attempt i, the 2A - 2(i + 1) draws
+  the scalar loop would not have made are taken back with a negative
+  ``bit_generator.advance``. PCG64 steps back exactly; Philox advances in
+  blocks of four draws, and MT19937 and SFC64 have no ``advance``, so every
+  other bit generator takes the scalar loop.
+
+There is no compiled kernel and no switch between kernels.
 """
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
-from . import _search_py
+import numpy as np
 
-if os.environ.get("QWAKE_PURE_PYTHON"):
-    _kernel = _search_py
-else:
-    try:
-        from . import _search_cy as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        _kernel = _search_py
-
-BACKEND: str = _kernel.BACKEND
-search_invocation = _kernel.search_invocation
+#: Recorded by the benchmark; the kernel is pure Python and numpy.
+BACKEND = "python"
 
 #: Budget constant c for a single invocation.
 DEFAULT_SEARCH_C = 20.0
@@ -59,6 +73,97 @@ def success_probability(n_range: int, n_marked: int, k: int) -> float:
         return 0.0
     s = math.sin((2 * k + 1) * math.asin(math.sqrt(n_marked / n_range)))
     return s * s
+
+
+def _window_cap(n_range: int) -> float:
+    """ceil(sqrt(N)) as a float, without float round-off."""
+    return float(math.isqrt(n_range - 1) + 1) if n_range > 1 else 1.0
+
+
+@lru_cache(maxsize=1024)
+def _null_windows(cap: float, reps: int) -> np.ndarray:
+    """The window m of every attempt of a null search, ``reps`` repetitions
+    long, built with the scalar loop's float operations. Read-only."""
+    one_rep = []
+    m = 1.0
+    while True:
+        one_rep.append(m)
+        if m >= cap:
+            break
+        m = m * 1.2
+        if m > cap:
+            m = cap
+    windows = np.array(one_rep * reps)
+    windows.setflags(write=False)
+    return windows
+
+
+def _null_search(n_range: int, budget: int, reps: int, gen) -> tuple[int, int]:
+    """A search with no marked port, drawing the whole schedule at once."""
+    if budget <= 0 or reps <= 0:
+        return -1, 0
+    windows = _null_windows(_window_cap(n_range), reps)
+    draws = gen.random(2 * len(windows))
+    charges = (draws[0::2] * windows).astype(np.int64)
+    charges += 1
+    cum = charges.cumsum()
+    total = int(cum[-1])
+    if total <= budget:
+        return -1, total
+    # The scalar loop clamps attempt i, where the charge first reaches the
+    # budget, and makes no draw after its second uniform.
+    unused = len(draws) - 2 * (int(np.searchsorted(cum, budget)) + 1)
+    if unused:
+        bitgen = gen.bit_generator
+        before = bitgen.state
+        bitgen.advance(-unused)
+        if before["has_uint32"]:
+            # advance() drops the buffered 32-bit half-draw; random() never
+            # touches it, so put it back.
+            bitgen.state = {**bitgen.state, "has_uint32": 1, "uinteger": before["uinteger"]}
+    return -1, budget
+
+
+def search_invocation(n_range: int, n_marked: int, budget: int, reps: int, gen) -> tuple[int, int]:
+    """Run one search invocation.
+
+    Returns (found_index, oracle_calls) where found_index is a uniform index
+    into the marked set, or -1 when the invocation returns NULL.
+    """
+    if n_marked == 0 and type(gen.bit_generator) is np.random.PCG64:
+        return _null_search(n_range, budget, reps, gen)
+    return _scalar_search(n_range, n_marked, budget, reps, gen)
+
+
+def _scalar_search(n_range: int, n_marked: int, budget: int, reps: int, gen) -> tuple[int, int]:
+    """The schedule one draw at a time; the reference for ``_null_search``."""
+    theta = math.asin(math.sqrt(n_marked / n_range)) if n_marked > 0 else 0.0
+    cap = _window_cap(n_range)
+    calls = 0
+    rand = gen.random
+    for _ in range(reps):
+        m = 1.0
+        while True:
+            rem = budget - calls
+            if rem <= 0:
+                return -1, calls
+            k = int(rand() * m)
+            if k > rem - 1:
+                k = rem - 1
+            calls += k + 1
+            u = rand()
+            s = math.sin((2 * k + 1) * theta)
+            if n_marked > 0 and u < s * s:
+                idx = int(rand() * n_marked)
+                if idx == n_marked:  # guard the u == 1.0-epsilon float edge
+                    idx = n_marked - 1
+                return idx, calls
+            if m >= cap:
+                break
+            m = m * 1.2
+            if m > cap:
+                m = cap
+    return -1, calls
 
 
 def invocation_budget(n_range: int, n_marked: int, n_global: int, c: float = DEFAULT_SEARCH_C) -> int:

@@ -23,10 +23,10 @@ exactly one classical message and takes effect one round after it is sent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import qsearch
-from .advice import Advice, AdviceAssignment, EpochPlan, PortRange, port_range, tree_depth
+from .advice import AdviceAssignment, EpochPlan, port_range, tree_depth
 from .network import PortNetwork, WakeConfig, awake_distance
 
 

@@ -51,11 +51,6 @@ def test_routing_demo(capsys):
     assert "True" in out
 
 
-def test_backend_flag(capsys):
-    assert main(["--backend"]) == 0
-    assert "search kernel backend" in capsys.readouterr().out
-
-
 def test_env_default_seed(monkeypatch, capsys):
     monkeypatch.setenv("QWAKE_SEED", "17")
     rc = main(["run", "--family", "clique", "--n", "8", "--alpha", "0"])

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from qwake.advice import compute_epoch_plan
 from qwake.harness import (
+    FAMILIES,
     ExperimentConfig,
     HarnessError,
     Row,
@@ -15,7 +17,9 @@ from qwake.harness import (
     run_sweep,
     stable_seed,
     write_csv,
+    _instance_for,
 )
+from qwake.network import awake_distance
 
 
 def small_config(tmp_path, **kw):
@@ -181,3 +185,17 @@ def test_hidden_matching_family_all_centers(tmp_path):
     rows = run_sweep(cfg)
     assert all(r.success for r in rows)
     assert all(r.awake_dist == 1 for r in rows)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_plan_awake_dist_is_the_bfs_awake_distance(family):
+    # rows report EpochPlan.awake_dist in place of a second BFS
+    rules = ["single-node", "random-k:1", "random-k:3"]
+    if family == "hidden-matching":
+        rules.append("all-centers")
+    for rule in rules:
+        cfg = ExperimentConfig(family=family, wake_rule=rule, seed=7)
+        for n in (4, 8, 12):
+            for rep in range(3):
+                net, wake = _instance_for(cfg, n, rep)
+                assert compute_epoch_plan(net, wake).awake_dist == awake_distance(net, wake)

@@ -2,7 +2,6 @@ import collections
 import math
 
 import numpy as np
-import pytest
 
 from qwake import qsearch
 from qwake.qsearch import (
@@ -134,23 +133,53 @@ def test_iterated_cost_bound_random():
         assert t.quantum_messages == 2 * t.oracle_calls
 
 
-def test_kernel_backends_agree_when_compiled_present():
-    try:
-        from qwake import _search_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    from qwake import _search_py
+def _null_schedule_cost(n, reps):
+    """Calls a null search makes when no budget binds, on average."""
+    windows = qsearch._null_windows(qsearch._window_cap(n), reps)
+    return float(sum(w / 2 + 1 for w in windows))
 
-    rng = np.random.default_rng(4)
-    for trial in range(500):
-        n = int(rng.integers(1, 129))
-        c = int(rng.integers(0, n + 1))
-        budget = int(rng.integers(1, 600))
-        reps = int(rng.integers(1, 30))
-        g1 = np.random.default_rng(trial)
-        g2 = np.random.default_rng(trial)
-        assert _search_py.search_invocation(n, c, budget, reps, g1) == _search_cy.search_invocation(
-            n, c, budget, reps, g2
-        )
-        # streams advanced identically
-        assert g1.random() == g2.random()
+
+def test_null_block_draw_matches_scalar_loop():
+    rng = np.random.default_rng(2026)
+    kinds = collections.Counter()
+    for case in range(3200):
+        n = int(rng.integers(1, 2001))
+        reps = int(rng.integers(1, 41))
+        kind = case % 4
+        if kind == 0:  # binds mid-schedule
+            budget = int(rng.integers(1, max(2, int(_null_schedule_cost(n, reps)))))
+        elif kind == 1:  # never binds
+            budget = 10**9
+        else:
+            budget = kind - 2  # 0 and 1
+        g_block = np.random.default_rng(case)
+        g_scalar = np.random.default_rng(case)
+        if case % 5 == 0:
+            # leave a buffered 32-bit half-draw in both streams
+            g_block.integers(0, 10)
+            g_scalar.integers(0, 10)
+        got = qsearch.search_invocation(n, 0, budget, reps, g_block)
+        want = qsearch._scalar_search(n, 0, budget, reps, g_scalar)
+        assert got == want, (n, reps, budget)
+        assert g_block.bit_generator.state == g_scalar.bit_generator.state, (n, reps, budget)
+        kinds["bound" if 0 < budget == got[1] else "free"] += 1
+    # the seeded cases exercise the stream rewind as well as the plain path
+    assert kinds["bound"] > 800 and kinds["free"] > 800
+
+
+def _plain(state):
+    """A bit generator state with its numpy arrays as lists, for ==."""
+    return {
+        k: _plain(v) if isinstance(v, dict) else v.tolist() if isinstance(v, np.ndarray) else v
+        for k, v in state.items()
+    }
+
+
+def test_null_search_on_philox_takes_the_scalar_loop():
+    budget = invocation_budget(255, 0, 256) // 4  # binds mid-schedule
+    for seed in range(20):
+        g = np.random.Generator(np.random.Philox(seed))
+        ref = np.random.Generator(np.random.Philox(seed))
+        got = qsearch.search_invocation(255, 0, budget, 24, g)
+        assert got == qsearch._scalar_search(255, 0, budget, 24, ref) == (-1, budget)
+        assert _plain(g.bit_generator.state) == _plain(ref.bit_generator.state)
