@@ -147,27 +147,23 @@ def compute_epoch_plan(network: PortNetwork, wake: WakeConfig) -> EpochPlan:
             raise AdviceError(f"awake node {v} not in the network")
     woken: set[int] = set()
     current = sorted(wake.awake_set)
-    previous: set[int] = set()
     epochs: list[EpochRecord] = []
     index = 0
     while current:
         index += 1
-        cur_set = set(current)
-        woken |= cur_set
+        woken.update(current)
         frontier: set[int] = set()
         for v in current:
-            frontier.update(u for u in network.neighbors(v) if u not in cur_set and u not in previous)
-        # Nodes already claimed in even earlier waves cannot reappear: they
-        # would have been adjacent to an earlier wave too.
+            frontier.update(network.neighbors(v))
+        # woken holds this wave and every earlier one.
         frontier -= woken
         remaining = set(frontier)
         assigned: dict[int, frozenset[int]] = {}
         for v in current:
-            mine = frozenset(u for u in network.neighbors(v) if u in remaining)
+            mine = frozenset(remaining.intersection(network.neighbors(v)))
             remaining -= mine
             assigned[v] = mine
         epochs.append(EpochRecord(index, tuple(current), frozenset(frontier), assigned))
-        previous = cur_set
         current = sorted(frontier)
     if len(woken) != network.n:
         raise AdviceError("wake set does not reach every node")

@@ -183,7 +183,12 @@ class Row:
 
 
 def _instance_for(config: ExperimentConfig, n: int, rep: int):
-    """Graph and wake set for one repetition; independent of alpha."""
+    """Graph and wake set for one repetition; independent of alpha.
+
+    A clique depends on n alone: every repetition of a cell gets the same
+    shared, immutable network from ``clique_graph``'s one-slot memo. It is
+    called through this module's own binding, which bench/tracing.py wraps.
+    """
     gseed = stable_seed(config.seed, config.family, n, "graph", rep)
     if config.family == "clique":
         net = clique_graph(n)

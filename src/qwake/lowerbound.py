@@ -424,7 +424,6 @@ def end_to_end_reduction_check(
     seed: int,
     alpha: int = 0,
     params: RunParams = RunParams(),
-    run_fn=None,
 ) -> ReductionReport:
     """Build the rerouted-clique instance for the involution, run wake-up
     with all centers awake, extract partner claims from the pendants' single
@@ -438,9 +437,8 @@ def end_to_end_reduction_check(
     wake = WakeConfig(frozenset(inst.centers()))
     plan = compute_epoch_plan(inst.network, wake)
     assignment = assign_advice(inst.network, plan, alpha)
-    runner = run_fn if run_fn is not None else run_wakeup
     rng = np.random.default_rng(seed)
-    transcript = runner(inst.network, wake, assignment, params, rng, seed)
+    transcript = run_wakeup(inst.network, wake, assignment, params, rng, seed)
 
     is_center = lambda v: v <= n
     v_calls = sum(

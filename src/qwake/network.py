@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -24,7 +25,9 @@ class PortNetwork:
     """Undirected simple graph with a bijective per-node port numbering.
 
     adj[v - 1][j - 1] == (u, j2) means port j of node v leads to node u and
-    arrives on u's port j2.
+    arrives on u's port j2. The network is immutable, so each node's
+    neighbour tuple is built once, on first use, and shared by every later
+    ``neighbors`` call.
     """
 
     n: int
@@ -40,8 +43,13 @@ class PortNetwork:
     def port_map(self, v: int, port: int) -> tuple[int, int]:
         return self.neighbor_at(v, port)
 
+    @cached_property
+    def _neighbor_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(u for u, _ in row) for row in self.adj)
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.adj[v - 1])
+        """Neighbours of v in port order."""
+        return self._neighbor_rows[v - 1]
 
     def port_to(self, v: int, u: int) -> int:
         """Port of v that leads to u. Raises GraphError if not adjacent."""
@@ -261,11 +269,21 @@ def path_graph(n: int) -> PortNetwork:
     return build_network([(v, v + 1) for v in range(1, n)], assignment)
 
 
+@lru_cache(maxsize=1)
 def clique_graph(n: int) -> PortNetwork:
     """Complete graph with canonical ports: port j of v leads to the j-th
-    smallest other node."""
-    ports = canonical_clique_ports(n)
-    return _clique_from_ports(ports)
+    smallest other node u, and v sits at port v of u if v < u, else v - 1.
+
+    A clique depends on n alone, so the last one built is kept and returned
+    again: one shared immutable instance per n. ``run_sweep`` loops over n
+    outermost, so one slot serves every cell at that n; more slots would
+    keep every clique of a sweep alive.
+    """
+    adj = [
+        [(u, v - 1) for u in range(1, v)] + [(u, v) for u in range(v + 1, n + 1)]
+        for v in range(1, n + 1)
+    ]
+    return _validate(adj)
 
 
 def awake_distance(network: PortNetwork, wake: WakeConfig) -> int:
@@ -313,13 +331,6 @@ def _validate_clique_ports(n: int, ports) -> tuple[tuple[int, ...], ...]:
         if sorted(row) != [k for k in range(1, n + 1) if k != i]:
             raise GraphError(f"row {i} of the clique port table is not a bijection")
     return ports
-
-
-def _clique_from_ports(ports) -> PortNetwork:
-    n = len(ports)
-    port_of = [{u: j + 1 for j, u in enumerate(ports[i])} for i in range(n)]
-    adj = [[(u, port_of[u - 1][i + 1]) for u in ports[i]] for i in range(n)]
-    return _validate(adj)
 
 
 @dataclass(frozen=True)

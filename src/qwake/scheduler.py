@@ -231,8 +231,9 @@ class _Run:
         woken: list[int] = []
         anomalies: list[str] = []
         chain_len = 0
+        nbrs = net.neighbors(v)
         sleep_before = (
-            tuple(sorted(u for u in net.neighbors(v) if u not in self.awake))
+            tuple(sorted(u for u in nbrs if u not in self.awake))
             if p.record_actor_sets
             else None
         )
@@ -243,8 +244,10 @@ class _Run:
             nonlocal offset
             replies: list[str] = []
             remaining = list(ports)
+            # Within one batch the only node woken is the one at the found
+            # port, so dropping that port keeps the list exact.
+            marked = [j for j in remaining if nbrs[j - 1] not in self.awake]
             while remaining:
-                marked = [j for j in remaining if net.neighbor_at(v, j)[0] not in self.awake]
                 budget = qsearch.invocation_budget(len(remaining), len(marked), self.n, p.search_c)
                 idx, calls = qsearch.search_invocation(
                     len(remaining), len(marked), budget, self.reps, self.rng
@@ -259,7 +262,8 @@ class _Run:
                 if found is None:
                     break
                 remaining.remove(found)
-                u = net.neighbor_at(v, found)[0]
+                del marked[idx]
+                u = nbrs[found - 1]
                 r_send = r0 + offset
                 offset += 1
                 self.ledger.classical_total += 1
@@ -314,7 +318,7 @@ class _Run:
                     f"actor {v} used {offset} rounds in a {self.tau}-round phase"
                 )
         sleep_after = (
-            tuple(sorted(u for u in net.neighbors(v) if u not in self.awake))
+            tuple(sorted(u for u in nbrs if u not in self.awake))
             if p.record_actor_sets
             else None
         )

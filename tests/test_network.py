@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from qwake.harness import ExperimentConfig, run_sweep
 from qwake.network import (
     GraphError,
     WakeConfig,
@@ -217,3 +218,52 @@ def test_random_matching_uniform_over_n4():
     assert len(counts) == 3  # (n-1)!! = 3 matchings
     for c in counts.values():
         assert abs(c / 10_000 - 1 / 3) <= 0.02
+
+
+def clique_through_build_network(n):
+    """The canonical clique built the general way, from its port table."""
+    ports = canonical_clique_ports(n)
+    assignment = {
+        (v, j): (u, ports[u - 1].index(v) + 1)
+        for v in range(1, n + 1)
+        for j, u in enumerate(ports[v - 1], start=1)
+    }
+    edges = [(v, u) for v in range(1, n + 1) for u in range(v + 1, n + 1)]
+    return build_network(edges, assignment)
+
+
+def test_closed_form_clique_matches_the_port_table():
+    assert clique_graph(1).adj == ((),)
+    for n in range(2, 41):
+        assert clique_graph(n).adj == clique_through_build_network(n).adj
+
+
+def test_clique_is_built_once_per_n():
+    assert clique_graph(12) is clique_graph(12)
+
+
+def test_clique_memo_keeps_one_slot(tmp_path):
+    cfg = ExperimentConfig(family="clique", n_values=(8, 12, 16), seeds_per_cell=2)
+    run_sweep(cfg, csv_path=str(tmp_path / "out.csv"))
+    assert clique_graph.cache_info().currsize <= 1
+
+
+def test_empty_clique_rejected():
+    with pytest.raises(GraphError):
+        clique_graph(0)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        clique_graph(9),
+        path_graph(7),
+        random_connected_graph(30, 0.2, 4),
+        build_hidden_matching_graph(10, random_perfect_matching(10, 3)).network,
+        load_network(path_graph(5).to_text()),
+    ],
+    ids=["clique", "path", "random", "hidden-matching", "loaded"],
+)
+def test_neighbors_follow_port_order(net):
+    for v in net.nodes:
+        assert net.neighbors(v) == tuple(u for u, _ in net.adj[v - 1])
